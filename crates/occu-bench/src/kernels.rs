@@ -85,6 +85,12 @@ impl KernelShapeRow {
 pub struct KernelPerfReport {
     /// Cores the OS reports (`available_parallelism`).
     pub host_cores: usize,
+    /// Worker threads the rayon pool resolved (`RAYON_NUM_THREADS`,
+    /// else the core count): the fan-out of the training epoch and
+    /// the `predict_batch` sweep. Every f32 GEMM runs on one thread.
+    /// Absent in older reports; those read 0.
+    #[serde(default)]
+    pub threads: usize,
     /// Quick (smoke) scale was used.
     pub quick: bool,
     /// ISA runtime dispatch selected for this process
@@ -271,6 +277,7 @@ pub fn kernel_study(quick: bool, seed: u64) -> KernelPerfReport {
 
     KernelPerfReport {
         host_cores: std::thread::available_parallelism().map_or(1, usize::from),
+        threads: rayon::current_num_threads(),
         quick,
         kernel_isa: active.name().to_string(),
         shapes: rows,
@@ -290,8 +297,9 @@ pub fn render_kernels(rep: &KernelPerfReport) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "== GEMM kernels: blocked/packed vs naive oracle ({} host cores, isa {}{}) ==",
+        "== GEMM kernels: blocked/packed vs naive oracle ({} host cores, {} threads, isa {}{}) ==",
         rep.host_cores,
+        rep.threads,
         if rep.kernel_isa.is_empty() { "?" } else { &rep.kernel_isa },
         if rep.quick { ", quick" } else { "" }
     );

@@ -49,6 +49,14 @@ pub struct PlanModelRow {
 /// The machine-readable result (written to `reports/plan_perf.json`).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct PlanPerfReport {
+    /// Cores the OS reports (`available_parallelism`). Absent in
+    /// reports from before it was recorded; those read 0.
+    #[serde(default)]
+    pub host_cores: usize,
+    /// Worker threads the rayon pool resolved (`RAYON_NUM_THREADS`,
+    /// else the core count). Every f32 GEMM runs on one thread.
+    #[serde(default)]
+    pub threads: usize,
     /// Models checked (the whole zoo).
     pub models: usize,
     /// Models whose plan diverged from the interpreter (must be empty).
@@ -150,6 +158,8 @@ pub fn plan_study(quick: bool, seed: u64) -> PlanPerfReport {
     let interp_pred_s = rows.len() as f64 / (interp_total_us / 1e6);
     let plan_pred_s = rows.len() as f64 / (plan_total_us / 1e6);
     PlanPerfReport {
+        host_cores: std::thread::available_parallelism().map_or(1, usize::from),
+        threads: rayon::current_num_threads(),
         models: rows.len(),
         mismatches,
         interp_pred_s,
@@ -167,8 +177,8 @@ pub fn render_plan(rep: &PlanPerfReport) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "== Compiled-plan gate: {} zoo models, {} reps/executor ==",
-        rep.models, rep.reps
+        "== Compiled-plan gate: {} zoo models, {} reps/executor, {} host cores, {} threads ==",
+        rep.models, rep.reps, rep.host_cores, rep.threads
     );
     let _ = writeln!(
         out,
@@ -208,6 +218,8 @@ mod tests {
     #[test]
     fn gate_failures_flag_mismatch_and_slow_runs() {
         let rep = PlanPerfReport {
+            host_cores: 2,
+            threads: 2,
             models: 2,
             mismatches: vec!["LeNet".into()],
             interp_pred_s: 100.0,
@@ -228,6 +240,8 @@ mod tests {
     #[test]
     fn clean_report_passes() {
         let rep = PlanPerfReport {
+            host_cores: 2,
+            threads: 2,
             models: 20,
             mismatches: Vec::new(),
             interp_pred_s: 100.0,

@@ -81,6 +81,14 @@ pub struct QuantModelRow {
 /// The machine-readable result (written to `reports/quant_perf.json`).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct QuantPerfReport {
+    /// Cores the OS reports (`available_parallelism`). Absent in
+    /// reports from before it was recorded; those read 0.
+    #[serde(default)]
+    pub host_cores: usize,
+    /// Worker threads the rayon pool resolved (`RAYON_NUM_THREADS`,
+    /// else the core count). Every f32 GEMM runs on one thread.
+    #[serde(default)]
+    pub threads: usize,
     /// Models swept (the whole zoo).
     pub models: usize,
     /// f32 SIMD tier the run dispatched to.
@@ -227,6 +235,8 @@ pub fn quant_study(quick: bool, seed: u64) -> QuantPerfReport {
     let (f32_pred_s, f16_pred_s, i8_pred_s) =
         (pred_s(totals[0]), pred_s(totals[1]), pred_s(totals[2]));
     QuantPerfReport {
+        host_cores: std::thread::available_parallelism().map_or(1, usize::from),
+        threads: rayon::current_num_threads(),
         models: rows.len(),
         isa: occu_tensor::active_isa().name().to_string(),
         quant_isa: occu_tensor::quant_isa().name().to_string(),
@@ -247,8 +257,8 @@ pub fn render_quant(rep: &QuantPerfReport) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "== Quantized-plan gate: {} zoo models, {} reps/precision, isa {} / int8 {} ==",
-        rep.models, rep.reps, rep.isa, rep.quant_isa
+        "== Quantized-plan gate: {} zoo models, {} reps/precision, isa {} / int8 {}, {} host cores, {} threads ==",
+        rep.models, rep.reps, rep.isa, rep.quant_isa, rep.host_cores, rep.threads
     );
     let _ = writeln!(
         out,
@@ -311,6 +321,8 @@ mod tests {
 
     fn report(rows: Vec<QuantModelRow>, speedup: f64, quant_isa: &str) -> QuantPerfReport {
         QuantPerfReport {
+            host_cores: 2,
+            threads: 2,
             models: rows.len(),
             isa: "avx512".to_string(),
             quant_isa: quant_isa.to_string(),

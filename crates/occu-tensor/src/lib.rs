@@ -5,10 +5,11 @@
 //! allocation-conscious surface:
 //!
 //! * [`Matrix`] — the only data type; a 2-D dense array.
-//! * Blocked, cache-friendly matrix multiplication with a
-//!   [rayon](https://docs.rs/rayon)-parallel outer loop
+//! * Blocked, cache-friendly matrix multiplication
 //!   ([`Matrix::matmul`], [`Matrix::matmul_transb`],
-//!   [`Matrix::matmul_transa`]).
+//!   [`Matrix::matmul_transa`]), single-threaded by design: every
+//!   GEMM runs on the caller's thread, and parallelism comes from the
+//!   callers (serving shards, batch groups, training samples).
 //! * Elementwise and row-wise primitives (softmax, layer-norm
 //!   statistics, reductions) needed by the neural-network layers in
 //!   `occu-nn`.

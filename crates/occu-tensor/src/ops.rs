@@ -2,8 +2,8 @@
 //!
 //! The three matmul variants dispatch between a streaming loop (small
 //! products, where packing overhead dominates) and the cache-blocked
-//! packed kernel in [`crate::gemm`] (everything else, with rayon row
-//! parallelism above a total-work threshold). Both paths, and the
+//! packed kernel in [`crate::gemm`] (everything else), both on the
+//! caller's thread. Both paths, and the
 //! `naive_*` oracles kept for benchmarking and equivalence tests,
 //! accumulate every output element in ascending-`k` order through a
 //! single chain, so all of them produce bit-identical results.
@@ -213,11 +213,10 @@ impl Matrix {
     /// Matrix product `self * other`.
     ///
     /// Small products take a streaming i-k-j loop; larger ones route
-    /// through the cache-blocked packed kernel, with rows fanned out
-    /// across the rayon pool when the total multiply-add count clears
-    /// [`gemm::should_parallelize`]. All paths accumulate each output
-    /// element in ascending-`k` order, so the result is bit-identical
-    /// regardless of the path or thread count.
+    /// through the cache-blocked packed kernel; both run on the
+    /// caller's thread. All paths accumulate each output element in
+    /// ascending-`k` order, so the result is bit-identical regardless
+    /// of the path.
     ///
     /// # Panics
     /// If `self.cols() != other.rows()`.

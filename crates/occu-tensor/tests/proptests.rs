@@ -25,10 +25,12 @@ fn matmul_pair() -> impl Strategy<Value = (Matrix, Matrix)> {
     })
 }
 
-/// A matmul pair whose dimensions straddle the parallel dispatch
-/// thresholds (`PAR_THRESHOLD_ROWS = 64` rows; `k * n >= 4096`
-/// inner work), so generated cases land on both sides of each
-/// condition and right on the boundary.
+/// A matmul pair on the packed blocked kernel whose row count
+/// straddles the `MC = 64` row-block height, so generated cases sweep
+/// one or two A-packing blocks (and land right on the boundary), with
+/// `n` leaving ragged `NR = 8` panel tails. Every f32 GEMM is serial;
+/// the test names keep the `par_threshold` suffix of the row-parallel
+/// gate this strategy was first written for.
 fn threshold_matmul_pair() -> impl Strategy<Value = (Matrix, Matrix)> {
     (62usize..=66, 28usize..=36, 110usize..=135).prop_flat_map(|(m, k, n)| {
         let a = prop::collection::vec(-1.0f32..1.0, m * k)
@@ -124,7 +126,7 @@ fn unfused_layernorm(m: &Matrix, eps: f32) -> Matrix {
 }
 
 /// Textbook i-j-k triple loop: the unambiguous reference both matmul
-/// dispatch paths (serial i-k-j and row-parallel) must agree with.
+/// dispatch paths (streaming i-k-j and packed blocked) must agree with.
 fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
     let (m, k) = a.shape();
     let n = b.cols();
@@ -157,12 +159,12 @@ proptest! {
 
     #[test]
     fn matmul_matches_naive_across_par_threshold((a, b) in threshold_matmul_pair()) {
-        // Row counts straddle PAR_THRESHOLD_ROWS and k*n straddles the
-        // inner-work gate, so this exercises the serial path, the
-        // parallel path, and the exact boundary between them. The two
-        // paths use the same per-row accumulation order, so any
-        // divergence from the reference beyond float tolerance means a
-        // dispatch-path bug (stale rows, wrong chunking, bad offsets).
+        // Row counts straddle the MC row-block height, so this
+        // exercises one and two A-packing blocks and the exact
+        // boundary between them. Every block extends the same per-row
+        // accumulation order, so any divergence from the reference
+        // beyond float tolerance means a blocking bug (stale rows,
+        // wrong block offsets, bad panel tails).
         assert_close(&a.matmul(&b), &naive_matmul(&a, &b), 1e-3);
     }
 

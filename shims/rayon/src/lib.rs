@@ -1,12 +1,11 @@
 //! Offline stand-in for the `rayon` crate.
 //!
 //! Provides the subset of the rayon 1.x data-parallel API this
-//! workspace uses: `par_iter`, `par_iter_mut`, `into_par_iter`,
-//! `par_chunks_mut`, and the adapters `map`, `enumerate`, `for_each`,
-//! `collect`. Work is fanned out over `std::thread::scope` in
-//! contiguous, order-preserving chunks; with one available core (or
-//! `RAYON_NUM_THREADS=1`) everything degrades to a serial loop with no
-//! thread spawns.
+//! workspace uses: `par_iter`, `par_iter_mut`, `into_par_iter`, and
+//! the adapters `map`, `enumerate`, `for_each`, `collect`. Work is
+//! fanned out over `std::thread::scope` in contiguous, order-preserving
+//! chunks; with one available core (or `RAYON_NUM_THREADS=1`)
+//! everything degrades to a serial loop with no thread spawns.
 //!
 //! `enumerate` yields source positions exactly like upstream rayon, and
 //! `collect` preserves source order, so callers observe the same
@@ -19,16 +18,18 @@ pub mod prelude {
 }
 
 /// Number of worker threads the pool would use (env override via
-/// `RAYON_NUM_THREADS`, else the number of available cores).
+/// `RAYON_NUM_THREADS`, else the number of available cores). Resolved
+/// once at first use, like upstream rayon's global pool size: later
+/// changes to the environment are not seen.
 pub fn current_num_threads() -> usize {
-    if let Ok(v) = std::env::var("RAYON_NUM_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::env::var("RAYON_NUM_THREADS")
+            .ok()
+            .and_then(|v| v.trim().parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    })
 }
 
 /// Run `f` over every item, in parallel when it pays, returning results
@@ -204,22 +205,6 @@ impl<'a, T: Send> ParallelIterator for SliceIterMut<'a, T> {
     }
 }
 
-pub struct ChunksMut<'a, T> {
-    items: Vec<&'a mut [T]>,
-}
-
-impl<'a, T: Send> ParallelIterator for ChunksMut<'a, T> {
-    type Item = &'a mut [T];
-
-    fn drive<R, F>(self, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize, &'a mut [T]) -> R + Sync,
-    {
-        execute(self.items, f)
-    }
-}
-
 /// `vec.into_par_iter()` — consuming parallel iteration.
 pub trait IntoParallelIterator {
     type Item: Send;
@@ -256,20 +241,14 @@ impl<T: Sync> ParallelSlice<T> for [T] {
     }
 }
 
-/// `slice.par_iter_mut()` / `slice.par_chunks_mut(n)`.
+/// `slice.par_iter_mut()`.
 pub trait ParallelSliceMut<T: Send> {
     fn par_iter_mut(&mut self) -> SliceIterMut<'_, T>;
-    fn par_chunks_mut(&mut self, chunk_size: usize) -> ChunksMut<'_, T>;
 }
 
 impl<T: Send> ParallelSliceMut<T> for [T] {
     fn par_iter_mut(&mut self) -> SliceIterMut<'_, T> {
         SliceIterMut { items: self.iter_mut().collect() }
-    }
-
-    fn par_chunks_mut(&mut self, chunk_size: usize) -> ChunksMut<'_, T> {
-        assert!(chunk_size > 0, "par_chunks_mut: chunk size must be > 0");
-        ChunksMut { items: self.chunks_mut(chunk_size).collect() }
     }
 }
 
@@ -297,19 +276,6 @@ mod tests {
         v.par_iter_mut().enumerate().for_each(|(i, slot)| *slot = i * i);
         for (i, x) in v.iter().enumerate() {
             assert_eq!(*x, i * i);
-        }
-    }
-
-    #[test]
-    fn par_chunks_mut_sees_global_offsets() {
-        let mut v = vec![0usize; 103];
-        v.par_chunks_mut(10).enumerate().for_each(|(ci, chunk)| {
-            for (j, slot) in chunk.iter_mut().enumerate() {
-                *slot = ci * 10 + j;
-            }
-        });
-        for (i, x) in v.iter().enumerate() {
-            assert_eq!(*x, i);
         }
     }
 
